@@ -7,22 +7,19 @@ population, run for the simulated duration and measure throughput the way
 the paper measures it (fixed operation-count intervals, 20% highest-variance
 intervals discarded, average — Section VI-A).
 
-The historical ``run_smartchain`` / ``run_naive_smartcoin`` / ``run_dura_smart``
-/ ``run_tendermint`` / ``run_fabric`` entry points remain as deprecated thin
-wrappers that construct the equivalent Scenario — byte-identical results,
-plus a :class:`DeprecationWarning` pointing at ``Scenario``/``run``.
+Every SMARTCHAIN run is a :class:`~repro.core.multichain.MultiChain`: the
+classic single-group deployment is simply ``shards=1``.
 
 Results are plain data: every field of :class:`ExperimentResult` survives
 ``json.dumps`` (see :meth:`ExperimentResult.to_json`).  Live simulation
-objects — the consortium, the stations, the simulator — are available on the
-separate :attr:`ExperimentResult.handle`, which is deliberately *not* part
-of the serialized result.
+objects — the replica groups, the stations, the simulator — are available
+on the separate :attr:`ExperimentResult.handle`, which is deliberately
+*not* part of the serialized result.
 """
 
 from __future__ import annotations
 
 import gc
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -39,19 +36,28 @@ from repro.config import (
     StorageMode,
     VerificationMode,
 )
-from repro.core.node import bootstrap
+from repro.core.multichain import (
+    MAX_SHARDS,
+    SHARD_STRIDE,
+    bootstrap_shards,
+    shard_of_node,
+)
 from repro.crypto import hashing as _hashing
 from repro.crypto.keys import KeyRegistry
 from repro.net.network import Network
 from repro.obs import Observability, build_run_report
-from repro.obs.audit import SafetyAuditor
+from repro.obs.audit import Auditor, SafetyAuditor, raise_if_violated
 from repro.sim.engine import Simulator
 from repro.sim.trace import merge_stamps, op_window_rates, trimmed_mean
 from repro.smr.durability import DuraSmartDelivery
 from repro.smr.keydir import KeyDirectory
 from repro.smr.replica import ModSmartReplica
 from repro.smr.views import View
-from repro.workloads.coingen import all_minter_addresses, deploy_clients
+from repro.workloads.coingen import (
+    all_minter_addresses,
+    deploy_clients,
+    deploy_sharded_clients,
+)
 
 __all__ = [
     "DEFAULT_WARMUP",
@@ -59,11 +65,6 @@ __all__ = [
     "RunHandle",
     "ExperimentResult",
     "run",
-    "run_smartchain",
-    "run_naive_smartcoin",
-    "run_dura_smart",
-    "run_tendermint",
-    "run_fabric",
 ]
 
 #: Simulated seconds excluded from the head of every measurement: the ramp
@@ -73,9 +74,6 @@ __all__ = [
 #: duration-dependent warmup than the SMARTCHAIN/BFT-SMART runs, which
 #: skewed the Table II comparison; a Scenario now carries one explicit value.
 DEFAULT_WARMUP = 1.0
-
-#: Back-compat alias (pre-Scenario name).
-WARMUP = DEFAULT_WARMUP
 
 #: Systems a Scenario may name (the keys of ``_BUILDERS``, spelled out
 #: here so :meth:`Scenario.__post_init__` can validate at construction).
@@ -111,8 +109,7 @@ class Scenario:
     #: to the engine-hosting systems (smartchain/naive/dura).
     engine: str = "modsmart"
     #: Number of independent replica groups (``system="smartchain"`` only).
-    #: ``1`` is the classic single-group deployment, byte-identical to the
-    #: pre-sharding harness.
+    #: ``1`` is the classic single-group deployment.
     shards: int = 1
     #: Fraction of SPEND operations that become two-phase cross-shard
     #: transfers (LOCK-and-burn on the source shard, certificate-verified
@@ -195,7 +192,6 @@ class Scenario:
             raise ValueError(
                 f"unknown workload {self.workload!r}; "
                 f"expected one of {sorted(_VALID_WORKLOADS)}")
-        from repro.core.multichain import MAX_SHARDS
         if not 1 <= self.shards <= MAX_SHARDS:
             raise ValueError(
                 f"shards must be in 1..{MAX_SHARDS}, got {self.shards}")
@@ -261,9 +257,10 @@ class Scenario:
 class RunHandle:
     """Live objects of a finished run (not serialized with the result).
 
-    ``system`` is the stack's top-level object: the :class:`Consortium` for
-    ``smartchain``, the replica list for ``naive``/``dura``, the cluster for
-    the comparators.
+    ``system`` is the stack's top-level object: the
+    :class:`~repro.core.multichain.MultiChain` for ``smartchain`` (one
+    group when ``shards=1``), the replica list for ``naive``/``dura``, the
+    cluster for the comparators.
     """
 
     scenario: Scenario
@@ -386,43 +383,14 @@ def _pipeline_suffix(label: str, sc: Scenario) -> str:
     return label
 
 
-def _build_smartchain(sim: Simulator, sc: Scenario,
-                      costs: CostModel) -> _Built:
-    if sc.shards > 1:
-        return _build_multishard(sim, sc, costs)
-    f = (sc.n - 1) // 3
-    config = SmartChainConfig(
-        smr=SMRConfig(n=sc.n, f=f, verification=sc.verification,
-                      pipeline_depth=sc.pipeline_depth,
-                      exec_cores=sc.exec_cores),
-        variant=sc.variant,
-        storage=sc.storage,
-        checkpoint_period=sc.checkpoint_period,
-    )
-    minters = all_minter_addresses(sc.clients)
-    consortium = bootstrap(sim, tuple(range(sc.n)),
-                           lambda: SmartCoin(minters=minters),
-                           config, costs=costs, engine=sc.engine)
-    view_holder = [consortium.genesis.view]
-    for node in consortium.nodes.values():
-        node.view_listeners.append(
-            lambda view: view_holder.__setitem__(0, view))
-    stations, _wallets = deploy_clients(
-        sim, consortium.network, lambda: view_holder[0], sc.clients,
-        workload=sc.workload, signed=_signed(sc.verification))
-    label = (f"SmartChain {sc.variant.value} "
-             f"({sc.storage.value}, {sc.verification.value}, n={sc.n})")
-    if sc.engine != "modsmart":
-        label = f"{label[:-1]}, {sc.engine})"
-    label = _pipeline_suffix(label, sc)
-    node0 = consortium.node(0)
-    return _Built(stations, label, consortium, lambda: {
-        "blocks": node0.delivery.blocks_built,
-        "certificates": node0.delivery.certs_completed,
-    }, network=consortium.network,
-        replicas={nid: node.replica
-                  for nid, node in consortium.nodes.items()},
-        nodes=dict(consortium.nodes))
+def _shard_suffix(sc: Scenario) -> str:
+    """The sharding knobs of a SMARTCHAIN label: exactly the keys
+    :meth:`Scenario.describe` adds, so single-group labels carry none."""
+    knobs = sc.describe()
+    suffix = f", shards={knobs['shards']}" if "shards" in knobs else ""
+    if knobs.get("cross_shard_fraction", 0.0) > 0:
+        suffix += f", x={knobs['cross_shard_fraction']:g}"
+    return suffix
 
 
 def _event_app_hook(sim: Simulator, node_id: int) -> Callable[..., None]:
@@ -434,25 +402,24 @@ def _event_app_hook(sim: Simulator, node_id: int) -> Callable[..., None]:
     return hook
 
 
-def _build_multishard(sim: Simulator, sc: Scenario,
+def _build_smartchain(sim: Simulator, sc: Scenario,
                       costs: CostModel) -> _Built:
     """``sc.shards`` independent SMARTCHAIN groups on one substrate.
 
-    Mirrors :func:`_build_smartchain` per group, then wires the pieces the
-    single-group path has no use for: a :class:`TransferVerifier` per shard
-    (so replicas can statelessly verify other shards' lock certificates),
-    an application event hook per node (typed ``cert-redeemed`` /
-    ``cert-rejected`` events for the cross-shard auditor) and the sharded
-    client deployment with routed stations.
+    Besides the groups themselves this wires a :class:`TransferVerifier`
+    per shard (so replicas can statelessly verify other shards' lock
+    certificates), an application event hook per node (typed
+    ``cert-redeemed`` / ``cert-rejected`` events for the cross-shard
+    auditor) and the shard-homed client deployment.
     """
-    from repro.core.multichain import bootstrap_shards
     from repro.ledger.xshard import TransferVerifier
-    from repro.workloads.coingen import deploy_sharded_clients
 
     f = (sc.n - 1) // 3
     minters = all_minter_addresses(sc.clients)
 
     def config_factory(shard: int) -> SmartChainConfig:
+        # A fresh config per group: fault plans override protocol knobs in
+        # place, and a shard-scoped plan must not reach the other groups.
         return SmartChainConfig(
             smr=SMRConfig(n=sc.n, f=f, verification=sc.verification,
                           pipeline_depth=sc.pipeline_depth,
@@ -469,10 +436,10 @@ def _build_multishard(sim: Simulator, sc: Scenario,
     genesis_by_shard = {shard: multichain.genesis_of(shard)
                         for shard in range(sc.shards)}
     record_events = sim.obs.record_events
-    for shard in range(sc.shards):
+    for shard, group in enumerate(multichain.groups):
         verifier = TransferVerifier(shard, multichain.registry,
                                     genesis_by_shard)
-        for node in multichain.group(shard).nodes.values():
+        for node in group.nodes.values():
             node.app.transfer_verifier = verifier
             if record_events:
                 node.app.event_hook = _event_app_hook(sim, node.id)
@@ -481,11 +448,8 @@ def _build_multishard(sim: Simulator, sc: Scenario,
         cross_shard_fraction=sc.cross_shard_fraction,
         workload=sc.workload, signed=_signed(sc.verification))
     label = (f"SmartChain {sc.variant.value} "
-             f"({sc.storage.value}, {sc.verification.value}, n={sc.n}, "
-             f"shards={sc.shards}")
-    if sc.cross_shard_fraction > 0:
-        label = f"{label}, x={sc.cross_shard_fraction:g}"
-    label = f"{label})"
+             f"({sc.storage.value}, {sc.verification.value}, n={sc.n}"
+             f"{_shard_suffix(sc)})")
     if sc.engine != "modsmart":
         label = f"{label[:-1]}, {sc.engine})"
     label = _pipeline_suffix(label, sc)
@@ -517,7 +481,7 @@ def _build_multishard(sim: Simulator, sc: Scenario,
     return _Built(stations, label, multichain, metrics,
                   network=multichain.network,
                   replicas=multichain.replicas(),
-                  nodes=multichain.nodes())
+                  nodes=multichain.nodes)
 
 
 def _build_modsmart_cluster(sim, costs, n, verification, delivery_factory,
@@ -628,10 +592,11 @@ def run(scenario: Scenario) -> ExperimentResult:
 
     When ``scenario.observe`` is set, the run records metrics, pipeline
     spans and resource utilization, and the result carries a machine-
-    readable report (:attr:`ExperimentResult.report`).  When
-    ``scenario.audit`` is set, a :class:`~repro.obs.audit.SafetyAuditor`
-    checks the protocol event stream online and the run fails with
-    :class:`~repro.obs.audit.AuditError` on any invariant violation.
+    readable report (:attr:`ExperimentResult.report`).  ``scenario.audit``
+    and ``scenario.audit_liveness`` attach online auditors (see
+    :func:`_auditors`) to the protocol event stream; the run then fails
+    with one :class:`~repro.obs.audit.AuditError` covering every
+    invariant violation.
     """
     builder = _BUILDERS.get(scenario.system)
     if builder is None:
@@ -653,62 +618,9 @@ def run(scenario: Scenario) -> ExperimentResult:
                         record_events=(record_events or scenario.audit
                                        or scenario.audit_liveness),
                         event_capacity=scenario.event_capacity)
-    auditor = None
-    if scenario.audit:
-        if scenario.shards > 1:
-            # One scoped safety auditor per shard (consensus ids and block
-            # heights restart per group, so one global auditor would flag
-            # phantom agreement violations), plus the cross-shard
-            # no-double-mint invariant over cert-redemption events.
-            from repro.core.multichain import shard_of_node
-            from repro.obs.shard import (CrossShardAuditor, ShardAuditGroup,
-                                         ShardScopedSafetyAuditor)
-            auditor = ShardAuditGroup(
-                [ShardScopedSafetyAuditor(shard, shard_of_node)
-                 for shard in range(scenario.shards)],
-                cross=CrossShardAuditor())
-        else:
-            auditor = SafetyAuditor()
+    auditors = _auditors(scenario, fault_plan, costs)
+    for auditor in auditors:
         auditor.attach(obs)
-    liveness = None
-    if scenario.audit_liveness:
-        from repro.obs.liveness import LivenessAuditor
-        hints = dict(getattr(fault_plan, "liveness", None) or {})
-        bound = scenario.liveness_bound
-        if bound is None:
-            bound = hints.get("bound", 1.0)
-        gst = scenario.liveness_gst
-        if gst is None:
-            gst = hints.get("gst", costs.network.gst)
-        wedge_k = scenario.wedge_k
-        if wedge_k is None:
-            wedge_k = hints.get("wedge_k", 4)
-        if scenario.shards > 1:
-            # Per-shard regency timelines: shard 1's leader changes must
-            # not reset shard 0's wedge counter (and vice versa).
-            from repro.core.multichain import shard_of_node
-            from repro.obs.shard import (ShardLivenessGroup,
-                                         ShardScopedLivenessAuditor)
-            liveness = ShardLivenessGroup(
-                [ShardScopedLivenessAuditor(shard, shard_of_node,
-                                            bound=bound, gst=gst,
-                                            wedge_k=wedge_k)
-                 for shard in range(scenario.shards)])
-        else:
-            liveness = LivenessAuditor(bound=bound, gst=gst, wedge_k=wedge_k)
-        liveness.attach(obs)
-    recovery = None
-    if scenario.audit:
-        # Recovery evidence rides the same event stream the safety auditor
-        # checks: every audited run also verifies that recovered replicas
-        # rejoin on the canonical chain (docs/faults.md).
-        from repro.obs.recovery import RecoveryAuditor
-        if scenario.shards > 1:
-            from repro.core.multichain import shard_of_node
-            recovery = RecoveryAuditor(scope=shard_of_node)
-        else:
-            recovery = RecoveryAuditor()
-        recovery.attach(obs)
     sim = Simulator(scenario.seed, obs=obs)
     built = builder(sim, scenario, costs)
     if fault_plan is not None:
@@ -725,7 +637,6 @@ def run(scenario: Scenario) -> ExperimentResult:
             # global ids and confine the injection surface to that shard's
             # runtimes, so protocol overrides, crashes and partitions
             # cannot leak into other groups.
-            from repro.core.multichain import SHARD_STRIDE, shard_of_node
             if plan.shard >= scenario.shards:
                 raise ValueError(
                     f"fault plan {plan.name!r} targets shard {plan.shard} "
@@ -821,151 +732,54 @@ def run(scenario: Scenario) -> ExperimentResult:
                       metrics=metrics)
     result.handle = RunHandle(scenario=scenario, sim=sim, obs=obs,
                               stations=built.stations, system=built.system)
-    if liveness is not None:
+    for auditor in auditors:
         # Flag still-unreplied requests against the horizon before the
-        # report snapshots the auditor's summary.
-        liveness.finalize(scenario.duration)
+        # report snapshots the auditors' summaries.
+        auditor.finalize(scenario.duration)
     if scenario.observe:
         result.report = build_run_report(result, obs, scenario.duration)
-    if auditor is not None:
-        auditor.raise_if_violated()
-    if liveness is not None:
-        liveness.raise_if_violated()
-    if recovery is not None:
-        recovery.raise_if_violated()
+    raise_if_violated(auditors)
     return result
 
 
-# ----------------------------------------------------------------------
-# Deprecated wrappers (thin Scenario constructors)
-# ----------------------------------------------------------------------
-def _deprecated_wrapper(name: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated; construct a Scenario and call run() "
-        f"instead: run(Scenario(system=..., ...))",
-        DeprecationWarning, stacklevel=3)
+def _auditors(scenario: Scenario, fault_plan: Any,
+              costs: CostModel) -> list[Auditor]:
+    """The online auditors a scenario asks for, one per shard and kind.
 
-
-def run_smartchain(
-    variant: PersistenceVariant = PersistenceVariant.STRONG,
-    storage: StorageMode = StorageMode.SYNC,
-    verification: VerificationMode = VerificationMode.PARALLEL,
-    n: int = 4,
-    clients: int = 2400,
-    duration: float = 4.0,
-    seed: int = 1,
-    checkpoint_period: int = 10_000,
-    costs: CostModel | None = None,
-    workload: str = "spend",
-    label: str | None = None,
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-    faults: Any = None,
-    engine: str = "modsmart",
-) -> ExperimentResult:
-    """One SMARTCHAIN configuration under the SMaRtCoin workload.
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
+    Consensus ids, block heights and regencies restart per replica group,
+    so each shard gets its own scoped safety, liveness and recovery
+    auditor; the cross-shard no-double-mint invariant spans all groups.
+    Recovery evidence rides the same event stream the safety auditor
+    checks: every audited run also verifies that recovered replicas rejoin
+    on the canonical chain (docs/faults.md).
     """
-    _deprecated_wrapper("run_smartchain")
-    return run(Scenario(
-        system="smartchain", variant=variant, storage=storage,
-        verification=verification, n=n, clients=clients, duration=duration,
-        seed=seed, checkpoint_period=checkpoint_period, costs=costs,
-        workload=workload, label=label, warmup=warmup, observe=observe,
-        audit=audit, faults=faults, engine=engine))
+    if not (scenario.audit or scenario.audit_liveness):
+        return []  # unaudited runs do not even import the auditors
+    from repro.obs.liveness import LivenessAuditor
+    from repro.obs.recovery import RecoveryAuditor
+    from repro.obs.shard import CrossShardAuditor
 
-
-def run_naive_smartcoin(
-    verification: VerificationMode = VerificationMode.SEQUENTIAL,
-    storage: StorageMode = StorageMode.SYNC,
-    n: int = 4,
-    clients: int = 2400,
-    duration: float = 4.0,
-    seed: int = 1,
-    costs: CostModel | None = None,
-    workload: str = "spend",
-    label: str | None = None,
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-) -> ExperimentResult:
-    """The naive design of Section IV: app-level blockchain inside the SMR.
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_naive_smartcoin")
-    return run(Scenario(
-        system="naive", verification=verification, storage=storage, n=n,
-        clients=clients, duration=duration, seed=seed, costs=costs,
-        workload=workload, label=label, warmup=warmup, observe=observe, audit=audit))
-
-
-def run_dura_smart(
-    verification: VerificationMode = VerificationMode.PARALLEL,
-    storage: StorageMode = StorageMode.SYNC,
-    n: int = 4,
-    clients: int = 2400,
-    duration: float = 4.0,
-    seed: int = 1,
-    costs: CostModel | None = None,
-    workload: str = "spend",
-    label: str | None = None,
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-) -> ExperimentResult:
-    """SMaRtCoin over the BFT-SMART durability layer (Dura-SMaRt).
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_dura_smart")
-    return run(Scenario(
-        system="dura", verification=verification, storage=storage, n=n,
-        clients=clients, duration=duration, seed=seed, costs=costs,
-        workload=workload, label=label, warmup=warmup, observe=observe, audit=audit))
-
-
-def run_tendermint(
-    clients: int = 2400,
-    duration: float = 6.0,
-    seed: int = 1,
-    costs: CostModel | None = None,
-    config: TendermintConfig | None = None,
-    label: str = "Tendermint",
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-) -> ExperimentResult:
-    """Tendermint comparator run.
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_tendermint")
-    return run(Scenario(
-        system="tendermint", clients=clients, duration=duration, seed=seed,
-        costs=costs, config=config, label=label, warmup=warmup,
-        observe=observe, audit=audit))
-
-
-def run_fabric(
-    clients: int = 2400,
-    duration: float = 6.0,
-    seed: int = 1,
-    costs: CostModel | None = None,
-    config: FabricConfig | None = None,
-    label: str = "Hyperledger Fabric",
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-) -> ExperimentResult:
-    """Hyperledger Fabric comparator run.
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_fabric")
-    return run(Scenario(
-        system="fabric", clients=clients, duration=duration, seed=seed,
-        costs=costs, config=config, label=label, warmup=warmup,
-        observe=observe, audit=audit))
+    shards = range(scenario.shards)
+    auditors: list[Auditor] = []
+    if scenario.audit:
+        auditors += [SafetyAuditor(scope=shard_of_node, shard=shard)
+                     for shard in shards]
+    if scenario.audit_liveness:
+        hints = dict(getattr(fault_plan, "liveness", None) or {})
+        bound = scenario.liveness_bound
+        if bound is None:
+            bound = hints.get("bound", 1.0)
+        gst = scenario.liveness_gst
+        if gst is None:
+            gst = hints.get("gst", costs.network.gst)
+        wedge_k = scenario.wedge_k
+        if wedge_k is None:
+            wedge_k = hints.get("wedge_k", 4)
+        auditors += [LivenessAuditor(bound=bound, gst=gst, wedge_k=wedge_k,
+                                     scope=shard_of_node, shard=shard)
+                     for shard in shards]
+    if scenario.audit:
+        auditors += [RecoveryAuditor(scope=shard_of_node, shard=shard)
+                     for shard in shards]
+        auditors.append(CrossShardAuditor())
+    return auditors

@@ -7,7 +7,7 @@ from repro.core.multichain import (
     bootstrap_shards,
     shard_of_node,
 )
-from repro.core.node import Consortium, ReplicaGroup, SmartChainNode, bootstrap
+from repro.core.node import ReplicaGroup, SmartChainNode, bootstrap
 from repro.core.persistence import (
     PersistenceLevel,
     PersistMsg,
@@ -23,7 +23,6 @@ from repro.core.reconfig import (
 __all__ = [
     "ReconfigOutcome",
     "SmartChainDelivery",
-    "Consortium",
     "ReplicaGroup",
     "SmartChainNode",
     "bootstrap",

@@ -13,9 +13,10 @@ Identity scheme
 Shard ``k`` hosts replicas ``k * SHARD_STRIDE + i`` for ``i in range(n)``.
 Shard 0 therefore keeps the classic ids ``0..n-1`` and, bootstrapped first
 from the shared :class:`~repro.crypto.keys.KeyRegistry`, draws exactly the
-key material a single-group run would — the ``shards=1`` entry points stay
-byte-identical.  Client stations live at ``9000 + 100 * shard + s``; with
-``MAX_SHARDS`` groups the replica and station id ranges never collide.
+key material a single-group :func:`~repro.core.node.bootstrap` would: a
+``shards=1`` deployment is the classic single group.  Client stations live
+at ``9000 + 100 * shard + s``; with ``MAX_SHARDS`` groups the replica and
+station id ranges never collide.
 
 Cross-shard trust
 -----------------
@@ -72,9 +73,11 @@ class MultiChain:
 
     Groups are indexed by shard number; ``multichain.groups[0]`` of a
     one-shard deployment is exactly what :func:`~repro.core.node.bootstrap`
-    returns.  The shared pieces are the simulator, the network (so clients
-    can reach every shard) and the key registry (so a shard can verify
-    another shard's signatures); everything consensus-scoped is per group.
+    returns, and :attr:`nodes` / :meth:`node` address members of every
+    group by global id, so a one-shard MultiChain stands in for its group.
+    The shared pieces are the simulator, the network (so clients can reach
+    every shard) and the key registry (so a shard can verify another
+    shard's signatures); everything consensus-scoped is per group.
     """
 
     def __init__(self, sim: Simulator, network: Network,
@@ -109,6 +112,7 @@ class MultiChain:
     def genesis_of(self, shard: int):
         return self.groups[shard].genesis
 
+    @property
     def nodes(self) -> dict[int, SmartChainNode]:
         """Every node of every shard, keyed by global node id."""
         out: dict[int, SmartChainNode] = {}
@@ -116,15 +120,14 @@ class MultiChain:
             out.update(group.nodes)
         return out
 
+    def node(self, node_id: int) -> SmartChainNode:
+        return self.groups[shard_of_node(node_id)].node(node_id)
+
     def replicas(self) -> dict[int, Any]:
-        return {nid: node.replica for nid, node in self.nodes().items()}
+        return {nid: node.replica for nid, node in self.nodes.items()}
 
     def apps(self, shard: int) -> list[Any]:
         return [node.app for node in self.groups[shard].nodes.values()]
-
-    def heads(self) -> dict[int, dict[int, int]]:
-        return {shard: group.heads()
-                for shard, group in enumerate(self.groups)}
 
 
 class CertificateFetcher:
@@ -203,8 +206,8 @@ def bootstrap_shards(
 
     Shard 0 is bootstrapped first with the classic member ids 0..n-1, so
     its key-registry draws, genesis block and node construction order are
-    identical to a single-group :func:`~repro.core.node.bootstrap` — the
-    foundation of the harness's ``shards=1`` byte-identity guarantee.
+    identical to a single-group :func:`~repro.core.node.bootstrap`: a
+    one-shard deployment is the classic single group.
     """
     if not 1 <= shards <= MAX_SHARDS:
         raise ValueError(f"shards must be in 1..{MAX_SHARDS}, got {shards}")

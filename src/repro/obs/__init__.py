@@ -19,7 +19,7 @@ Three concerns live here:
 - :mod:`repro.obs.report` — the machine-readable run report combining the
   above with per-resource busy fractions and network statistics.
 
-Four protocol-level concerns ride the same hook (``repro.obs`` v2):
+Protocol-level concerns ride the same hook (``repro.obs`` v2):
 
 - :mod:`repro.obs.events` — the typed, bounded protocol event stream
   (decide, view-change, persist-certificate, crash/recovery, ...);
@@ -28,6 +28,9 @@ Four protocol-level concerns ride the same hook (``repro.obs`` v2):
   forgetting invariant);
 - :mod:`repro.obs.liveness` — the online liveness auditor (bounded
   post-GST request latency, wedge detection over the regency timeline);
+- :mod:`repro.obs.recovery` — the online recovery auditor (recovered
+  replicas replay only the canonical chain);
+- :mod:`repro.obs.shard` — the cross-shard no-double-mint auditor;
 - :mod:`repro.obs.traceview` — Chrome trace-event export (Perfetto);
 - :mod:`repro.obs.compare` — bench-report regression diffing
   (``--check-against``).
@@ -105,14 +108,9 @@ class Observability:
         self.record_events = enabled if record_events is None else record_events
         #: The typed protocol event stream (repro.obs.events).
         self.events = EventLog(capacity=event_capacity)
-        #: The attached SafetyAuditor, if any (set by SafetyAuditor.attach).
-        self.auditor: Any = None
-        #: The attached LivenessAuditor, if any (set by
-        #: LivenessAuditor.attach).
-        self.liveness: Any = None
-        #: The attached RecoveryAuditor, if any (set by
-        #: RecoveryAuditor.attach).
-        self.recovery: Any = None
+        #: Every attached online auditor (repro.obs.audit.Auditor), in
+        #: attach order; the run report merges their summaries by section.
+        self.auditors: list[Any] = []
         #: Every Resource constructed on the owning simulator (self-registered).
         self.resources: list[Any] = []
         #: Every Network constructed on the owning simulator (self-registered).

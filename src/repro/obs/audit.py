@@ -34,17 +34,22 @@ Invariants
 ``SafetyAuditor(strict=True)`` raises :class:`AuditError` at the violating
 event; the default collects violations so the harness can fail the run at
 the end with the complete list.
+
+Every online auditor (safety here, :mod:`repro.obs.liveness`,
+:mod:`repro.obs.recovery`, the cross-shard :mod:`repro.obs.shard`) derives
+from :class:`Auditor`: one protocol for wiring (``attach``/``on_event``),
+shard scoping, ``finalize``, ``violations`` and ``summary``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.obs.events import CLIENT_KINDS, EventLog, ProtocolEvent
 
-__all__ = ["INVARIANTS", "Violation", "AuditError", "SafetyAuditor",
-           "audit_event_log"]
+__all__ = ["INVARIANTS", "Violation", "AuditError", "Auditor",
+           "SafetyAuditor", "raise_if_violated", "audit_event_log"]
 
 #: Names of the invariants the auditor enforces.
 INVARIANTS = ("agreement", "no-fork", "view-monotonicity", "persistence",
@@ -85,18 +90,127 @@ class AuditError(Exception):
             f"{len(self.violations)} safety violation(s):\n  {lines}")
 
 
-class SafetyAuditor:
-    """Checks protocol events against the paper's safety invariants.
+class Auditor:
+    """Base of the online auditors: wiring, shard scope and violations.
 
-    Attach to a run with :meth:`attach` (subscribes to ``obs.events`` and
-    forces event recording on), or feed events directly via
-    :meth:`on_event` / :meth:`ingest_chain` for offline sweeps.
+    Attach to a run with :meth:`attach` (subscribes to ``obs.events``,
+    forces event recording on and joins ``obs.auditors``), or feed events
+    directly via :meth:`on_event` for offline sweeps.
+
+    ``scope`` maps a node id to its consensus group (shard) and ``shard``
+    names the group this instance audits: events from other groups' nodes
+    are dropped before they reach :meth:`_check`.  Consensus ids, block
+    heights and regencies restart per group, so a sharded run needs one
+    auditor per shard.  Events with ``node == -1`` (harness-level fault
+    injection, finalize placeholders) reach every shard.  Without a scope
+    every event is audited.
     """
 
-    def __init__(self, strict: bool = False):
+    #: Run-report section the :meth:`summary` lands in; the report merges
+    #: the summaries of same-section auditors (one per shard, :meth:`merge`).
+    section = "audit"
+    #: Summary keys that are configuration, equal across shards: a merge
+    #: keeps the first shard's value.
+    config_keys = frozenset({"invariants"})
+
+    def __init__(self, strict: bool = False,
+                 scope: Callable[[int], int] | None = None, shard: int = 0):
         self.strict = strict
+        self.scope = scope
+        self.shard = shard
         self.violations: list[Violation] = []
         self.events_checked = 0
+
+    def attach(self, obs: Any) -> "Auditor":
+        """Subscribe to a run's event stream (forces recording on)."""
+        obs.record_events = True
+        obs.events.subscribe(self.on_event)
+        obs.auditors.append(self)
+        return self
+
+    def on_event(self, event: ProtocolEvent) -> None:
+        scope = self.scope
+        if (scope is not None and event.node >= 0
+                and scope(event.node) != self.shard):
+            return
+        self._check(event)
+
+    def _check(self, event: ProtocolEvent) -> None:
+        raise NotImplementedError
+
+    def finalize(self, horizon: float) -> "Auditor":
+        """Judge what is still open at the run's horizon (default: nothing)."""
+        return self
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def raise_if_violated(self) -> None:
+        raise_if_violated([self])
+
+    def summary(self) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def shard_summary(self) -> dict[str, Any]:
+        """This instance's summary as one shard's part of a :meth:`merge`."""
+        return self.summary()
+
+    @classmethod
+    def merge(cls, auditors: list["Auditor"]) -> dict[str, Any]:
+        """One report section from same-kind auditors (one per shard).
+
+        A single auditor's summary is returned unchanged.  Otherwise
+        :attr:`config_keys` keep the first shard's value, every other key
+        is combined by :meth:`_combine` and ``shards`` counts the merged
+        auditors.
+        """
+        if len(auditors) == 1:
+            return auditors[0].summary()
+        merged: dict[str, Any] = {"shards": len(auditors)}
+        for auditor in auditors:
+            for key, value in auditor.shard_summary().items():
+                if key not in merged:
+                    merged[key] = value
+                elif key not in cls.config_keys:
+                    merged[key] = cls._combine(key, merged[key], value)
+        return merged
+
+    @classmethod
+    def _combine(cls, key: str, merged: Any, value: Any) -> Any:
+        """Merge rule for one summary key: counts add, lists concatenate."""
+        if isinstance(value, list) or (isinstance(value, int)
+                                       and not isinstance(value, bool)):
+            return merged + value
+        raise TypeError(f"{cls.__name__}.merge has no rule for summary "
+                        f"key {key!r}")
+
+    def _flag(self, invariant: str, message: str, event: ProtocolEvent,
+              **context: Any) -> None:
+        violation = Violation(invariant=invariant, message=message,
+                              event=event, context=context)
+        self.violations.append(violation)
+        if self.strict:
+            raise AuditError([violation])
+
+
+def raise_if_violated(auditors: Iterable[Auditor]) -> None:
+    """Raise one :class:`AuditError` covering every auditor's violations."""
+    violations = [v for auditor in auditors for v in auditor.violations]
+    if violations:
+        raise AuditError(violations)
+
+
+class SafetyAuditor(Auditor):
+    """Checks protocol events against the paper's safety invariants.
+
+    Besides the online :meth:`attach` path, :meth:`ingest_chain` feeds a
+    replica's chain through the same checks for offline sweeps.
+    """
+
+    def __init__(self, strict: bool = False,
+                 scope: Callable[[int], int] | None = None, shard: int = 0):
+        super().__init__(strict=strict, scope=scope, shard=shard)
         # agreement: cid -> (batch_hash, first deciding node, event)
         self._decided: dict[int, tuple[str, int, ProtocolEvent]] = {}
         # no-fork: height -> (digest, first appending node, event)
@@ -115,20 +229,6 @@ class SafetyAuditor:
         self._epoch_heights: dict[int, int] = {}
         self._ingest_seq = 1_000_000_000  # synthetic seq for offline feeds
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach(self, obs: Any) -> "SafetyAuditor":
-        """Subscribe to a run's event stream (forces recording on)."""
-        obs.record_events = True
-        obs.events.subscribe(self.on_event)
-        obs.auditor = self
-        return self
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def summary(self) -> dict[str, Any]:
         return {
             "invariants": list(INVARIANTS),
@@ -136,14 +236,10 @@ class SafetyAuditor:
             "violations": [v.to_json() for v in self.violations],
         }
 
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            raise AuditError(self.violations)
-
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
-    def on_event(self, event: ProtocolEvent) -> None:
+    def _check(self, event: ProtocolEvent) -> None:
         self.events_checked += 1
         if (event.kind != "reconfig" and event.kind not in CLIENT_KINDS
                 and event.node >= 0):
@@ -155,14 +251,6 @@ class SafetyAuditor:
         handler = getattr(self, "_on_" + event.kind.replace("-", "_"), None)
         if handler is not None:
             handler(event)
-
-    def _flag(self, invariant: str, message: str, event: ProtocolEvent,
-              **context: Any) -> None:
-        violation = Violation(invariant=invariant, message=message,
-                              event=event, context=context)
-        self.violations.append(violation)
-        if self.strict:
-            raise AuditError([violation])
 
     # ------------------------------------------------------------------
     # agreement

@@ -38,9 +38,9 @@ regency in charge when it completed).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-from repro.obs.audit import AuditError, Violation
+from repro.obs.audit import Auditor
 from repro.obs.events import EventLog, ProtocolEvent
 
 __all__ = ["LIVENESS_INVARIANTS", "LivenessAuditor", "audit_liveness_log"]
@@ -49,7 +49,7 @@ __all__ = ["LIVENESS_INVARIANTS", "LivenessAuditor", "audit_liveness_log"]
 LIVENESS_INVARIANTS = ("bounded-latency", "no-wedge")
 
 
-class LivenessAuditor:
+class LivenessAuditor(Auditor):
     """Tracks request lifecycles and regency churn against a liveness spec.
 
     Parameters
@@ -70,18 +70,24 @@ class LivenessAuditor:
     max_flagged:
         Cap on ``bounded-latency`` Violation records kept (the total count
         is tallied regardless).
+    scope, shard:
+        Audit only shard ``shard``'s events (see :class:`Auditor`).
+        Stations are shard-homed, so a request is judged against its home
+        shard's bound and regency timeline.
     """
+
+    section = "liveness"
+    config_keys = frozenset({"invariants", "bound_s", "gst_s", "wedge_k"})
 
     def __init__(self, bound: float = 1.0, gst: float = 0.0,
                  wedge_k: int = 4, strict: bool = False,
-                 max_flagged: int = 10):
+                 max_flagged: int = 10,
+                 scope: Callable[[int], int] | None = None, shard: int = 0):
+        super().__init__(strict=strict, scope=scope, shard=shard)
         self.bound = float(bound)
         self.gst = float(gst)
         self.wedge_k = int(wedge_k)
-        self.strict = strict
         self.max_flagged = max_flagged
-        self.violations: list[Violation] = []
-        self.events_checked = 0
         self.finalized = False
         # Request lifecycle: key -> submit time / (submit, reply) times.
         self._outstanding: dict[tuple[int, int], float] = {}
@@ -107,27 +113,9 @@ class LivenessAuditor:
         self._watchdog_fires = 0
 
     # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach(self, obs: Any) -> "LivenessAuditor":
-        """Subscribe to a run's event stream (forces recording on)."""
-        obs.record_events = True
-        obs.events.subscribe(self.on_event)
-        obs.liveness = self
-        return self
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            raise AuditError(self.violations)
-
-    # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
-    def on_event(self, event: ProtocolEvent) -> None:
+    def _check(self, event: ProtocolEvent) -> None:
         self.events_checked += 1
         kind = event.kind
         if kind == "request-submitted":
@@ -140,14 +128,6 @@ class LivenessAuditor:
             self._on_leader_change(event)
         elif kind == "watchdog-fired":
             self._watchdog_fires += 1
-
-    def _flag(self, invariant: str, message: str, event: ProtocolEvent,
-              **context: Any) -> None:
-        violation = Violation(invariant=invariant, message=message,
-                              event=event, context=context)
-        self.violations.append(violation)
-        if self.strict:
-            raise AuditError([violation])
 
     def _deadline(self, submitted: float) -> float:
         return max(submitted, self.gst) + self.bound
@@ -287,6 +267,26 @@ class LivenessAuditor:
             "latency_by_regency": latency_by_regency,
             "violations": [v.to_json() for v in self.violations],
         }
+
+    def shard_summary(self) -> dict[str, Any]:
+        """The summary with timeline entries tagged by shard and latency
+        buckets keyed ``s<shard>/r<regency>``, so shards stay apart."""
+        summary = self.summary()
+        summary["regency_timeline"] = [
+            {"shard": self.shard, **entry}
+            for entry in summary["regency_timeline"]]
+        summary["latency_by_regency"] = {
+            f"s{self.shard}/r{regency}": stats
+            for regency, stats in summary["latency_by_regency"].items()}
+        return summary
+
+    @classmethod
+    def _combine(cls, key: str, merged: Any, value: Any) -> Any:
+        if key == "max_latency_s":
+            return max(merged, value)
+        if key == "latency_by_regency":
+            return {**merged, **value}
+        return super()._combine(key, merged, value)
 
 
 def audit_liveness_log(log: EventLog, horizon: float, bound: float = 1.0,

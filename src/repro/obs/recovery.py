@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.obs.audit import AuditError, Violation
+from repro.obs.audit import Auditor
 from repro.obs.events import ProtocolEvent
 
 __all__ = ["RECOVERY_INVARIANTS", "RecoveryAuditor", "audit_recovery_log"]
@@ -41,27 +41,21 @@ __all__ = ["RECOVERY_INVARIANTS", "RecoveryAuditor", "audit_recovery_log"]
 RECOVERY_INVARIANTS = ("recovery-divergence", "phantom-replay")
 
 
-class RecoveryAuditor:
+class RecoveryAuditor(Auditor):
     """Checks recovery evidence against the canonical decision stream.
 
-    Attach to a run with :meth:`attach` (subscribes to ``obs.events`` and
-    forces event recording on), or feed events directly via
-    :meth:`on_event` for offline sweeps.  ``scope`` maps a node id to its
-    consensus group (shard), so sharded runs compare a recovery only
-    against its own shard's decisions; the default places every node in
-    one group.
+    With a ``scope`` (see :class:`Auditor`) an instance compares a
+    shard's recoveries only against that shard's decisions.
     """
 
     INVARIANTS = RECOVERY_INVARIANTS
+    section = "recovery"
 
     def __init__(self, strict: bool = False,
-                 scope: Callable[[int], int] | None = None):
-        self.strict = strict
-        self.scope = scope or (lambda node: 0)
-        self.violations: list[Violation] = []
-        self.events_checked = 0
-        # (group, cid) -> canonical batch hash hex from decide events.
-        self._decided: dict[tuple[int, int], str] = {}
+                 scope: Callable[[int], int] | None = None, shard: int = 0):
+        super().__init__(strict=strict, scope=scope, shard=shard)
+        # cid -> canonical batch hash hex from decide events.
+        self._decided: dict[int, str] = {}
         # Health tallies.
         self.recoveries_seen = 0
         self.recoveries_verified = 0
@@ -70,20 +64,6 @@ class RecoveryAuditor:
         self.fallbacks = 0
         self.disk_degraded = 0
         self.replayed_checked = 0
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach(self, obs: Any) -> "RecoveryAuditor":
-        """Subscribe to a run's event stream (forces recording on)."""
-        obs.record_events = True
-        obs.events.subscribe(self.on_event)
-        obs.recovery = self
-        return self
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -99,14 +79,10 @@ class RecoveryAuditor:
             "violations": [v.to_json() for v in self.violations],
         }
 
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            raise AuditError(self.violations)
-
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
-    def on_event(self, event: ProtocolEvent) -> None:
+    def _check(self, event: ProtocolEvent) -> None:
         handler = getattr(
             self, "_on_" + event.kind.replace("-", "_"), None)
         if handler is None:
@@ -114,26 +90,18 @@ class RecoveryAuditor:
         self.events_checked += 1
         handler(event)
 
-    def _flag(self, invariant: str, message: str, event: ProtocolEvent,
-              **context: Any) -> None:
-        violation = Violation(invariant, message, event, context)
-        self.violations.append(violation)
-        if self.strict:
-            raise AuditError([violation])
-
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
     def _on_decide(self, event: ProtocolEvent) -> None:
-        key = (self.scope(event.node), event.fields["cid"])
-        self._decided.setdefault(key, event.fields["batch_hash"])
+        self._decided.setdefault(event.fields["cid"],
+                                 event.fields["batch_hash"])
 
     def _on_recovering(self, event: ProtocolEvent) -> None:
         self.recoveries_seen += 1
-        group = self.scope(event.node)
         for cid, digest in event.fields.get("replayed", ()):
             self.replayed_checked += 1
-            canonical = self._decided.get((group, cid))
+            canonical = self._decided.get(cid)
             if canonical is None:
                 self._flag(
                     "phantom-replay",
@@ -165,10 +133,9 @@ class RecoveryAuditor:
         self.disk_degraded += 1
 
 
-def audit_recovery_log(events, scope: Callable[[int], int] | None = None,
-                       strict: bool = False) -> RecoveryAuditor:
+def audit_recovery_log(events, strict: bool = False) -> RecoveryAuditor:
     """Offline sweep: run the recovery auditor over recorded events."""
-    auditor = RecoveryAuditor(strict=strict, scope=scope)
+    auditor = RecoveryAuditor(strict=strict)
     for event in events:
         auditor.on_event(event)
     return auditor

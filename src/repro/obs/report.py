@@ -96,15 +96,11 @@ def build_run_report(result: Any, obs: Any, horizon: float) -> dict[str, Any]:
             "dropped": obs.events.dropped,
             "by_kind": obs.events.counts(),
         }
-    auditor = getattr(obs, "auditor", None)
-    if auditor is not None:
-        report["audit"] = auditor.summary()
-    liveness = getattr(obs, "liveness", None)
-    if liveness is not None:
-        report["liveness"] = liveness.summary()
-    recovery = getattr(obs, "recovery", None)
-    if recovery is not None:
-        report["recovery"] = recovery.summary()
+    sections: dict[str, list[Any]] = {}
+    for auditor in getattr(obs, "auditors", ()):
+        sections.setdefault(auditor.section, []).append(auditor)
+    for section, auditors in sections.items():
+        report[section] = type(auditors[0]).merge(auditors)
     return report
 
 
@@ -163,6 +159,14 @@ def validate_report(report: Any) -> dict[str, Any]:
                  "liveness regency_timeline is not a list")
         _require(isinstance(liveness["violations"], list),
                  "liveness violations is not a list")
+    if "xshard" in report:  # additive section (cross-shard auditor attached)
+        xshard = report["xshard"]
+        _require(isinstance(xshard, dict), "xshard is not a mapping")
+        for key in ("invariants", "events_checked", "transfers_redeemed",
+                    "violations"):
+            _require(key in xshard, f"xshard missing {key!r}")
+        _require(isinstance(xshard["violations"], list),
+                 "xshard violations is not a list")
     if "recovery" in report:  # additive section (recovery auditor attached)
         recovery = report["recovery"]
         _require(isinstance(recovery, dict), "recovery is not a mapping")

@@ -1,93 +1,28 @@
-"""Per-shard auditing for sharded multi-chain runs.
+"""The cross-shard auditor of sharded multi-chain runs.
 
-One global :class:`~repro.obs.audit.SafetyAuditor` cannot audit a sharded
-deployment: every shard restarts consensus ids and block heights at zero,
-so two shards legitimately deciding different batches for cid 0 would be
-flagged as an agreement violation.  This module scopes the existing safety
-and liveness auditors to one shard each (dropping events from other
-shards' nodes before dispatch) and adds the one genuinely *cross*-shard
-invariant, ``no-double-mint``: a transfer certificate burned on its source
-shard is redeemed at most once on its destination shard.
-
-The per-shard auditors and the cross-shard auditor are bundled behind
-:class:`ShardAuditGroup` / :class:`ShardLivenessGroup` facades that present
-the single-auditor API the harness and run reports already consume
-(``summary()`` / ``raise_if_violated()`` / ``finalize()``), so the report
-schema is unchanged — summaries simply aggregate over shards.
-
-Shard attribution is by node id.  The facades take the id→shard mapping as
-a callable (the harness passes :func:`repro.core.multichain.shard_of_node`)
-so this module stays free of core-layer imports; synthetic events with
-``node == -1`` (finalize placeholders, network-wide faults) pass through to
-every shard's auditor.
+Each shard's own safety, liveness and recovery invariants are checked by
+shard-scoped instances of the ordinary auditors (``scope=`` on
+:class:`~repro.obs.audit.Auditor`).  This module adds the one genuinely
+*cross*-shard invariant, ``no-double-mint``: a transfer certificate burned
+on its source shard is redeemed at most once on its destination shard.
+Its summary is the run report's ``xshard`` section.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-from repro.obs.audit import AuditError, SafetyAuditor, Violation
+from repro.obs.audit import Auditor
 from repro.obs.events import ProtocolEvent
-from repro.obs.liveness import LivenessAuditor
 
-__all__ = ["XSHARD_INVARIANTS", "ShardScopedSafetyAuditor",
-           "ShardScopedLivenessAuditor", "CrossShardAuditor",
-           "ShardAuditGroup", "ShardLivenessGroup"]
+__all__ = ["XSHARD_INVARIANTS", "CrossShardAuditor"]
 
 #: The invariant the cross-shard auditor enforces on top of the per-shard
 #: safety invariants.
 XSHARD_INVARIANTS = ("no-double-mint",)
 
 
-class ShardScopedSafetyAuditor(SafetyAuditor):
-    """A :class:`SafetyAuditor` that only sees one shard's events."""
-
-    def __init__(self, shard: int, shard_of: Callable[[int], int],
-                 strict: bool = False):
-        super().__init__(strict=strict)
-        self.shard = shard
-        self._shard_of = shard_of
-
-    def attach(self, obs: Any) -> "ShardScopedSafetyAuditor":
-        """Subscribe without claiming ``obs.auditor`` (the group does)."""
-        obs.record_events = True
-        obs.events.subscribe(self.on_event)
-        return self
-
-    def on_event(self, event: ProtocolEvent) -> None:
-        if event.node >= 0 and self._shard_of(event.node) != self.shard:
-            return
-        super().on_event(event)
-
-
-class ShardScopedLivenessAuditor(LivenessAuditor):
-    """A :class:`LivenessAuditor` that only sees one shard's events.
-
-    Stations are shard-homed (ids ``9000 + 100*shard + s``), so a shard's
-    request lifecycle — including cross-shard ``xmint`` requests routed to
-    another group — is audited against its *home* shard's latency bound
-    and regency timeline.
-    """
-
-    def __init__(self, shard: int, shard_of: Callable[[int], int],
-                 **kwargs: Any):
-        super().__init__(**kwargs)
-        self.shard = shard
-        self._shard_of = shard_of
-
-    def attach(self, obs: Any) -> "ShardScopedLivenessAuditor":
-        """Subscribe without claiming ``obs.liveness`` (the group does)."""
-        obs.record_events = True
-        obs.events.subscribe(self.on_event)
-        return self
-
-    def on_event(self, event: ProtocolEvent) -> None:
-        if event.node >= 0 and self._shard_of(event.node) != self.shard:
-            return
-        super().on_event(event)
-
-
-class CrossShardAuditor:
+class CrossShardAuditor(Auditor):
     """Enforces ``no-double-mint`` over the cert-redemption event stream.
 
     Subscribes to ``cert-redeemed`` / ``cert-rejected`` events (emitted by
@@ -105,36 +40,20 @@ class CrossShardAuditor:
     hits ``n`` replicas, which is one violation, not ``n``.
     """
 
+    section = "xshard"
+
     def __init__(self, strict: bool = False):
-        self.strict = strict
-        self.violations: list[Violation] = []
-        self.events_checked = 0
+        super().__init__(strict=strict)
         #: (node, xfer id) -> redemption event (first occurrence)
         self._redeemed: dict[tuple[int, str], ProtocolEvent] = {}
         #: xfer id -> minted value (must agree across replicas)
         self._values: dict[str, int] = {}
         self._flagged: set[str] = set()
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach(self, obs: Any) -> "CrossShardAuditor":
-        obs.record_events = True
-        obs.events.subscribe(self.on_event)
-        return self
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     @property
     def transfers(self) -> int:
         """Distinct transfer certificates redeemed at least once."""
         return len(self._values)
-
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            raise AuditError(self.violations)
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -147,7 +66,7 @@ class CrossShardAuditor:
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
-    def on_event(self, event: ProtocolEvent) -> None:
+    def _check(self, event: ProtocolEvent) -> None:
         kind = event.kind
         if kind == "cert-redeemed":
             self.events_checked += 1
@@ -155,13 +74,6 @@ class CrossShardAuditor:
         elif kind == "cert-rejected":
             self.events_checked += 1
             self._on_rejected(event)
-
-    def _flag(self, message: str, event: ProtocolEvent,
-              **context: Any) -> None:
-        violation = Violation("no-double-mint", message, event, context)
-        self.violations.append(violation)
-        if self.strict:
-            raise AuditError([violation])
 
     def _on_redeemed(self, event: ProtocolEvent) -> None:
         xfer = event.fields.get("xfer")
@@ -172,6 +84,7 @@ class CrossShardAuditor:
             if xfer not in self._flagged:
                 self._flagged.add(xfer)
                 self._flag(
+                    "no-double-mint",
                     f"transfer {xfer} redeemed twice on node {event.node} "
                     f"(first at t={first.time:.6f})",
                     event, xfer=xfer, node=event.node,
@@ -182,6 +95,7 @@ class CrossShardAuditor:
         if known != value and xfer not in self._flagged:
             self._flagged.add(xfer)
             self._flag(
+                "no-double-mint",
                 f"transfer {xfer} minted value {value} on node "
                 f"{event.node} but {known} elsewhere",
                 event, xfer=xfer, value=value, expected=known)
@@ -194,130 +108,7 @@ class CrossShardAuditor:
             return
         self._flagged.add(xfer)
         self._flag(
+            "no-double-mint",
             f"transfer {xfer} presented again after redemption "
             f"(double-mint attempt refused by node {event.node})",
             event, xfer=xfer, reason=event.fields.get("reason"))
-
-
-class ShardAuditGroup:
-    """Per-shard safety auditors + the cross-shard auditor, one facade.
-
-    Mirrors the :class:`SafetyAuditor` reporting API so the harness and
-    :func:`repro.obs.report.build_run_report` need no sharding special
-    case: ``summary()`` aggregates, ``raise_if_violated()`` raises on any
-    member's violations.
-    """
-
-    def __init__(self, members: list[SafetyAuditor],
-                 cross: CrossShardAuditor | None = None):
-        self.members = list(members)
-        self.cross = cross
-
-    def attach(self, obs: Any) -> "ShardAuditGroup":
-        for member in self.members:
-            member.attach(obs)
-        if self.cross is not None:
-            self.cross.attach(obs)
-        obs.auditor = self
-        return self
-
-    @property
-    def _all(self) -> list[Any]:
-        out: list[Any] = list(self.members)
-        if self.cross is not None:
-            out.append(self.cross)
-        return out
-
-    @property
-    def violations(self) -> list[Violation]:
-        return [v for auditor in self._all for v in auditor.violations]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_violated(self) -> None:
-        violations = self.violations
-        if violations:
-            raise AuditError(violations)
-
-    def summary(self) -> dict[str, Any]:
-        invariants = list(self.members[0].summary()["invariants"]) \
-            if self.members else []
-        if self.cross is not None:
-            invariants += list(XSHARD_INVARIANTS)
-        return {
-            "invariants": invariants,
-            "shards": len(self.members),
-            "events_checked": sum(a.events_checked for a in self._all),
-            "transfers_redeemed": (self.cross.transfers
-                                   if self.cross is not None else 0),
-            "violations": [v.to_json() for v in self.violations],
-        }
-
-
-class ShardLivenessGroup:
-    """Per-shard liveness auditors behind the single-auditor API.
-
-    ``summary()`` aggregates the counters the report schema requires and
-    tags each regency-timeline entry and latency bucket with its shard.
-    """
-
-    def __init__(self, members: list[LivenessAuditor]):
-        self.members = list(members)
-
-    def attach(self, obs: Any) -> "ShardLivenessGroup":
-        for member in self.members:
-            member.attach(obs)
-        obs.liveness = self
-        return self
-
-    @property
-    def violations(self) -> list[Violation]:
-        return [v for member in self.members for v in member.violations]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def finalize(self, horizon: float) -> "ShardLivenessGroup":
-        for member in self.members:
-            member.finalize(horizon)
-        return self
-
-    def raise_if_violated(self) -> None:
-        violations = self.violations
-        if violations:
-            raise AuditError(violations)
-
-    def summary(self) -> dict[str, Any]:
-        summaries = [member.summary() for member in self.members]
-        first = summaries[0]
-        timeline = []
-        latency: dict[str, Any] = {}
-        for member, shard_summary in zip(self.members, summaries):
-            shard = getattr(member, "shard", 0)
-            for entry in shard_summary["regency_timeline"]:
-                timeline.append({"shard": shard, **entry})
-            for regency, stats in shard_summary["latency_by_regency"].items():
-                latency[f"s{shard}/r{regency}"] = stats
-        return {
-            "invariants": first["invariants"],
-            "bound_s": first["bound_s"],
-            "gst_s": first["gst_s"],
-            "wedge_k": first["wedge_k"],
-            "shards": len(self.members),
-            "events_checked": sum(s["events_checked"] for s in summaries),
-            "submitted": sum(s["submitted"] for s in summaries),
-            "replied": sum(s["replied"] for s in summaries),
-            "outstanding": sum(s["outstanding"] for s in summaries),
-            "max_latency_s": max(s["max_latency_s"] for s in summaries),
-            "late_replies": sum(s["late_replies"] for s in summaries),
-            "late_outstanding": sum(s["late_outstanding"]
-                                    for s in summaries),
-            "watchdog_fires": sum(s["watchdog_fires"] for s in summaries),
-            "regency_changes": sum(s["regency_changes"] for s in summaries),
-            "regency_timeline": timeline,
-            "latency_by_regency": latency,
-            "violations": [v.to_json() for v in self.violations],
-        }

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+#: MINTs each client issues before spending them all under
+#: ``workload="mint_then_spend"``.
+MINT_COUNT = 8
+
+
 def client_address(index: int) -> str:
     return f"addr:{index}"
 
@@ -208,7 +213,6 @@ def deploy_clients(
     workload: str = "spend",
     signed: bool = True,
     station_base: int = 9000,
-    mint_count: int = 8,
     send_window: float = 0.001,
 ) -> tuple[list[ClientStation], list[Wallet]]:
     """Create the paper's client deployment: ``num_clients`` spread over
@@ -216,7 +220,8 @@ def deploy_clients(
 
     ``workload``: ``"mint"`` (endless mints), ``"spend"`` (mint a working
     set then spend-cycle — the phase the paper reports), or
-    ``"mint_then_spend"`` (finite two-phase run).
+    ``"mint_then_spend"`` (finite two-phase run of :data:`MINT_COUNT`
+    mints per client).
     """
     stations = []
     wallets = []
@@ -228,17 +233,25 @@ def deploy_clients(
         station = stations[index % num_stations]
         wallet = Wallet(client_address(index))
         wallets.append(wallet)
-        if workload == "mint":
-            ops = endless_mint(wallet, signed=signed)
-        elif workload == "spend":
-            ops = endless_spend_cycle(wallet, signed=signed)
-        else:
-            ops = mint_then_spend(wallet, client_address((index + 1) % num_clients),
-                                  mint_count, signed=signed)
+        ops = _client_ops(workload, wallet, index, num_clients, signed)
         client = Client(station, ops,
                         on_result=_wallet_tracker(wallet))
         del client  # adopted by the station
     return stations, wallets
+
+
+def _client_ops(workload: str, wallet: Wallet, index: int, num_clients: int,
+                signed: bool) -> Iterator[OpSpec]:
+    """Client ``index``'s single-shard op stream for ``workload``:
+    ``"mint"`` (endless mints), ``"spend"`` (mint a working set then
+    spend-cycle) or ``"mint_then_spend"`` (:data:`MINT_COUNT` mints, then
+    spend every coin to the next client — finite)."""
+    if workload == "mint":
+        return endless_mint(wallet, signed=signed)
+    if workload == "spend":
+        return endless_spend_cycle(wallet, signed=signed)
+    return mint_then_spend(wallet, client_address((index + 1) % num_clients),
+                           MINT_COUNT, signed=signed)
 
 
 def deploy_sharded_clients(
@@ -257,9 +270,10 @@ def deploy_sharded_clients(
 
     Client ``index`` lives on shard :func:`home_shard(index, shards)
     <home_shard>`, is served by that shard's ``num_stations`` stations
-    (station ids ``9000 + 100*shard + s``), and mints/spends on its home
-    shard.  With ``cross_shard_fraction > 0`` (and more than one shard)
-    that fraction of SPENDs becomes two-phase cross-shard transfers; the
+    (station ids ``9000 + 100*shard + s``), and runs ``workload`` (as in
+    :func:`deploy_clients`) on its home shard.  With ``workload="spend"``
+    and ``cross_shard_fraction > 0`` (and more than one shard) that
+    fraction of SPENDs becomes two-phase cross-shard transfers; the
     stations route each operation to the shard named on its
     :class:`~repro.clients.client.OpSpec`.
     """
@@ -283,17 +297,14 @@ def deploy_sharded_clients(
         station = stations_by_shard[shard][(index // shards) % num_stations]
         wallet = Wallet(client_address(index))
         wallets.append(wallet)
-        if workload == "mint":
-            ops = endless_mint(wallet, signed=signed)
-            tracker = _wallet_tracker(wallet)
-        elif cross:
+        if cross and workload == "spend":
             box = _CrossBox()
             ops = endless_cross_spend(wallet, box, shard, shards,
                                       cross_shard_fraction, fetch_cert,
                                       signed=signed)
             tracker = _cross_tracker(wallet, box, shard)
         else:
-            ops = endless_spend_cycle(wallet, signed=signed)
+            ops = _client_ops(workload, wallet, index, num_clients, signed)
             tracker = _wallet_tracker(wallet)
         client = Client(station, ops, on_result=tracker)
         del client  # adopted by the station

@@ -22,6 +22,13 @@ from repro.obs.liveness import (
 from repro.obs.report import validate_report
 
 
+def _liveness_auditor(result):
+    """The single-group run's one liveness auditor."""
+    [auditor] = [a for a in result.handle.obs.auditors
+                 if isinstance(a, LivenessAuditor)]
+    return auditor
+
+
 def _wired(**kwargs):
     """An auditor subscribed to a fresh log; returns (log, auditor)."""
     auditor = LivenessAuditor(**kwargs)
@@ -182,14 +189,14 @@ class TestHarnessIntegration:
     def test_remaining_liveness_plans_pass(self, plan):
         result = run(Scenario(system="smartchain", clients=60, duration=4.0,
                               seed=1, faults=plan, audit_liveness=True))
-        assert result.handle.obs.liveness.ok
+        assert _liveness_auditor(result).ok
 
     def test_stop_spam_never_reaches_join_quorum(self):
         # One spammer is below f+1: the group must keep the leader.
         result = run(Scenario(system="smartchain", clients=60, duration=4.0,
                               seed=1, faults="stop-spam",
                               audit_liveness=True))
-        assert result.handle.obs.liveness.summary()["regency_changes"] == 0
+        assert _liveness_auditor(result).summary()["regency_changes"] == 0
         assert result.metrics["regency_changes"] == 0
 
     def test_report_carries_liveness_section_and_sync_metrics(self):
@@ -215,7 +222,7 @@ class TestHarnessIntegration:
                               seed=1, faults="stop-spam",
                               audit_liveness=True, liveness_bound=9.0,
                               liveness_gst=0.2, wedge_k=7))
-        auditor = result.handle.obs.liveness
+        auditor = _liveness_auditor(result)
         assert auditor.bound == 9.0
         assert auditor.gst == 0.2
         assert auditor.wedge_k == 7
@@ -223,7 +230,7 @@ class TestHarnessIntegration:
     def test_clean_run_passes_with_default_bound(self):
         result = run(Scenario(system="smartchain", clients=60, duration=2.0,
                               seed=1, audit_liveness=True))
-        auditor = result.handle.obs.liveness
+        auditor = _liveness_auditor(result)
         assert auditor.ok
         assert auditor.summary()["regency_changes"] == 0
 

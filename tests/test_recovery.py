@@ -89,12 +89,19 @@ class TestRecoveryAuditor:
         assert [v.invariant for v in auditor.violations] == ["phantom-replay"]
 
     def test_scope_separates_shards(self):
-        # The same cid decided differently in two shards must not cross.
-        auditor = RecoveryAuditor(scope=lambda node: node // 100)
-        auditor.on_event(_event("decide", 0, cid=0, batch_hash="aa"))
-        auditor.on_event(_event("decide", 100, cid=0, batch_hash="bb"))
-        auditor.on_event(_event("recovering", 102, replayed=[(0, "bb")]))
-        assert auditor.ok
+        # The same cid decided differently in two shards must not cross:
+        # each shard's auditor judges its recoveries by its own decisions.
+        events = [_event("decide", 0, cid=0, batch_hash="aa"),
+                  _event("decide", 100, cid=0, batch_hash="bb"),
+                  _event("recovering", 102, replayed=[(0, "bb")]),
+                  _event("recovering", 2, replayed=[(0, "aa")])]
+        for shard in (0, 1):
+            auditor = RecoveryAuditor(scope=lambda node: node // 100,
+                                      shard=shard)
+            for event in events:
+                auditor.on_event(event)
+            assert auditor.ok
+            assert auditor.recoveries_seen == 1
 
     def test_strict_mode_raises_immediately(self):
         auditor = RecoveryAuditor(strict=True)

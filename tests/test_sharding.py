@@ -2,10 +2,10 @@
 
 Covers the three layers of the sharding stack:
 
-- core: the :class:`ReplicaGroup` extraction (``Consortium`` alias), the
-  shard identity scheme, and single-group equivalence — a ``shards=1``
-  deployment through :func:`bootstrap_shards` behaves identically to the
-  classic :func:`bootstrap` path;
+- core: the :class:`ReplicaGroup` extraction, the shard identity scheme,
+  and single-group equivalence — a ``shards=1`` deployment through
+  :func:`bootstrap_shards` behaves identically to the classic
+  :func:`bootstrap` path;
 - protocol/app: the two-phase cross-shard SPEND — LOCK-and-burn on the
   source shard, certificate-verified mint on the destination — including
   rejection of malformed, replayed and wrong-shard certificates;
@@ -14,18 +14,21 @@ Covers the three layers of the sharding stack:
   fail-fast Scenario validation.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import Scenario, run
 from repro.core import (
     SHARD_STRIDE,
-    Consortium,
-    ReplicaGroup,
     bootstrap_shards,
     shard_of_node,
 )
 from repro.core.multichain import MAX_SHARDS, CertificateFetcher, station_id
-from repro.obs.audit import AuditError
+from repro.obs.audit import AuditError, raise_if_violated
+from repro.obs.compare import compare_reports
+from repro.obs.liveness import LivenessAuditor
 from repro.smr.requests import ClientRequest
 
 
@@ -37,9 +40,6 @@ def _sharded_result(shards=2, fraction=0.2, clients=200, duration=2.0,
 
 
 class TestReplicaGroupExtraction:
-    def test_consortium_is_replica_group_alias(self):
-        assert Consortium is ReplicaGroup
-
     def test_shard_identity_scheme(self):
         assert shard_of_node(0) == 0
         assert shard_of_node(3) == 0
@@ -104,6 +104,48 @@ class TestReplicaGroupExtraction:
         assert heads[0] == heads[1]
         assert digests[0] == digests[1]
         assert totals[0] == totals[1]
+
+    def test_multichain_addresses_nodes_by_global_id(self):
+        multichain = run(Scenario(shards=2, clients=20,
+                                  duration=0.3)).handle.system
+        assert sorted(multichain.nodes) == [0, 1, 2, 3, SHARD_STRIDE,
+                                            SHARD_STRIDE + 1,
+                                            SHARD_STRIDE + 2,
+                                            SHARD_STRIDE + 3]
+        assert multichain.node(0) is multichain.group(0).node(0)
+        assert (multichain.node(SHARD_STRIDE + 2)
+                is multichain.group(1).node(SHARD_STRIDE + 2))
+
+
+def test_single_group_row_checks_against_committed_baseline():
+    """Tier-1 gate for the single-group SMARTCHAIN row: a fresh run at the
+    options and label of the committed scaling sweep's ``shards=1 x=0``
+    row passes ``--check-against`` that row."""
+    label = "SmartChain shards=1 x=0"
+    results = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+    with open(results / "BENCH_shards.json", encoding="utf-8") as fh:
+        committed = json.load(fh)
+    options = {"clients": 2400, "duration": 2.5, "seed": 1}
+    assert committed["options"] == options
+    result = run(Scenario(system="smartchain", shards=1, label=label,
+                          observe=True, **options))
+    baseline = {"experiment": "shards", "options": options,
+                "runs": [r for r in committed["runs"] if r["label"] == label]}
+    current = {"experiment": "shards", "options": options,
+               "runs": [result.report]}
+    comparison = compare_reports(baseline, current)
+    assert comparison.matched_runs == 1
+    assert comparison.ok, comparison.format()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_mint_then_spend_is_finite_on_every_shard_count(shards):
+    """Each client mints 8 coins, then spends each to the next client: 16
+    operations and no more, whatever the shard count."""
+    clients = 40
+    result = run(Scenario(shards=shards, clients=clients, duration=4.0,
+                          warmup=0.5, workload="mint_then_spend"))
+    assert result.completed == clients * 16
 
 
 class TestCrossShardSpend:
@@ -198,7 +240,7 @@ class TestCertificateRejection:
         event = obs.events.of_kind("cert-rejected")[-1]
         assert event.fields["replay"] and event.fields["xfer"] == xfer_id
         with pytest.raises(AuditError, match="no-double-mint"):
-            obs.auditor.raise_if_violated()
+            raise_if_violated(obs.auditors)
 
     def test_wrong_destination_shard_rejected(self):
         result = _sharded_result(shards=3, fraction=0.3, clients=120,
@@ -225,6 +267,52 @@ class TestCertificateRejection:
                     assert f"addressed to shard {dest}" in outcome[1]
                     return
         pytest.fail("no cross-shard transfer completed in the run")
+
+
+class TestPerShardAuditing:
+    def test_scoped_auditor_sees_only_its_shard(self):
+        from repro.obs.audit import SafetyAuditor
+        from repro.obs.events import ProtocolEvent
+
+        def decide(node, batch_hash):
+            return ProtocolEvent(time=0.0, seq=node, kind="decide", node=node,
+                                 fields={"cid": 0, "batch_hash": batch_hash})
+
+        auditor = SafetyAuditor(scope=shard_of_node, shard=1)
+        auditor.on_event(decide(0, "aa"))
+        auditor.on_event(decide(SHARD_STRIDE, "bb"))
+        auditor.on_event(ProtocolEvent(time=0.0, seq=9, kind="fault-injected",
+                                       node=-1, fields={}))
+        assert auditor.ok
+        assert auditor.events_checked == 2  # shard 1's decide + node -1
+        auditor.on_event(decide(SHARD_STRIDE + 1, "cc"))
+        assert [v.invariant for v in auditor.violations] == ["agreement"]
+
+    def test_merge_of_one_summary_is_unchanged(self):
+        auditor = LivenessAuditor()
+        assert LivenessAuditor.merge([auditor]) == auditor.summary()
+
+    def test_merge_refuses_a_summary_key_without_a_rule(self):
+        from repro.obs.audit import SafetyAuditor
+
+        class Odd(SafetyAuditor):
+            def summary(self):
+                return {**super().summary(), "ratio": 0.5}
+
+        with pytest.raises(TypeError, match="'ratio'"):
+            Odd.merge([Odd(shard=0), Odd(shard=1)])
+
+    def test_sharded_liveness_section_tags_shards(self):
+        result = _sharded_result(fraction=0.0, clients=60, duration=1.5,
+                                 audit_liveness=True, observe=True)
+        section = result.report["liveness"]
+        per_shard = [a.summary() for a in result.handle.obs.auditors
+                     if isinstance(a, LivenessAuditor)]
+        assert section["shards"] == len(per_shard) == 2
+        assert section["submitted"] == sum(s["submitted"] for s in per_shard)
+        assert {entry["shard"] for entry in section["regency_timeline"]} \
+            == {0, 1}
+        assert set(section["latency_by_regency"]) == {"s0/r0", "s1/r0"}
 
 
 class TestShardScopedFaults:
